@@ -20,7 +20,7 @@ fn dispatcher48() -> Dispatcher {
 fn bench_probe_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_probe_path");
     group.throughput(Throughput::Elements(1));
-    // The unsharded hot path: the dispatcher's own monotone counter.
+    // The single-threaded baseline: the dispatcher's own monotone counter.
     group.bench_function("internal_seq", |b| {
         let mut d = dispatcher48();
         let mut out = Dispatch::default();

@@ -101,7 +101,7 @@ pub enum DispatcherMsg {
     },
 }
 
-/// Sequencer → shard control, used only when `dispatcher_shards >= 2`.
+/// Sequencer → shard control, at every shard count (one included).
 ///
 /// Shards never mutate routing state on their own: the control sequencer
 /// owns the authoritative [`fastjoin_core::dispatcher::Dispatcher`] and
@@ -116,7 +116,7 @@ pub enum ShardCtrl {
     Publish(fastjoin_core::routing::RouteSnapshot),
 }
 
-/// Shard → sequencer notifications, used only when `dispatcher_shards >= 2`.
+/// Shard → sequencer notifications, at every shard count (one included).
 #[derive(Debug, Clone, Copy)]
 pub enum ShardNote {
     /// Shard `shard` has flushed all batches buffered under snapshots

@@ -1,6 +1,6 @@
 //! Offline drop-in shim for the `crossbeam::channel` subset used by the
 //! runtime: MPMC `bounded`/`unbounded` channels with cloneable receivers,
-//! disconnect detection, `recv_timeout`, and a two-arm `select!` macro.
+//! disconnect detection, and `recv_timeout`/`send_timeout`.
 //!
 //! Built on `Mutex` + `Condvar`; slower than real crossbeam but
 //! semantically equivalent for the patterns the runtime uses (each
@@ -361,58 +361,6 @@ pub mod channel {
     }
 }
 
-/// Two-arm `recv` selection, polled with a short backoff.
-///
-/// Supports exactly the shape the runtime uses:
-/// `select! { recv(a) -> m => ..., recv(b) -> m => ... }`. An arm becomes
-/// ready when its channel has a message (`Ok`) or is disconnected (`Err`),
-/// matching crossbeam's semantics; the first arm is checked first, which
-/// gives control messages priority over data.
-#[macro_export]
-macro_rules! select {
-    (recv($rx1:expr) -> $m1:pat => $e1:expr, recv($rx2:expr) -> $m2:pat => $e2:expr $(,)?) => {{
-        // Poll in an inner loop, but evaluate the user arms *outside* it so
-        // `break`/`continue` in an arm bind to the user's enclosing loop
-        // (as with real crossbeam, whose select! is not a loop).
-        let mut __spins: u32 = 0;
-        let __ready = loop {
-            match $rx1.try_recv() {
-                Ok(v) => break $crate::SelectArm2::First(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break $crate::SelectArm2::First(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            match $rx2.try_recv() {
-                Ok(v) => break $crate::SelectArm2::Second(Ok(v)),
-                Err($crate::channel::TryRecvError::Disconnected) => {
-                    break $crate::SelectArm2::Second(Err($crate::channel::RecvError))
-                }
-                Err($crate::channel::TryRecvError::Empty) => {}
-            }
-            __spins += 1;
-            if __spins < 64 {
-                ::std::hint::spin_loop();
-            } else {
-                ::std::thread::sleep(::std::time::Duration::from_micros(50));
-            }
-        };
-        match __ready {
-            $crate::SelectArm2::First($m1) => $e1,
-            $crate::SelectArm2::Second($m2) => $e2,
-        }
-    }};
-}
-
-/// Which arm of a two-arm [`select!`] became ready, with its recv result.
-#[doc(hidden)]
-pub enum SelectArm2<A, B> {
-    /// The first `recv` arm.
-    First(Result<A, channel::RecvError>),
-    /// The second `recv` arm.
-    Second(Result<B, channel::RecvError>),
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, unbounded, RecvTimeoutError, TryRecvError};
@@ -486,25 +434,6 @@ mod tests {
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn select_prefers_first_arm_and_sees_disconnect() {
-        let (tx1, rx1) = unbounded::<u8>();
-        let (tx2, rx2) = unbounded::<u8>();
-        tx2.send(20).unwrap();
-        tx1.send(10).unwrap();
-        let got = select! {
-            recv(rx1) -> m => m.unwrap(),
-            recv(rx2) -> m => m.unwrap(),
-        };
-        assert_eq!(got, 10, "control arm wins when both are ready");
-        drop(tx1);
-        let got = select! {
-            recv(rx1) -> m => match m { Ok(_) => 0, Err(_) => 99 },
-            recv(rx2) -> m => m.unwrap(),
-        };
-        assert_eq!(got, 99, "disconnected arm fires with Err");
     }
 
     #[test]

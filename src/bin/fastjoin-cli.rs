@@ -320,7 +320,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     let channel_cap: usize = args.get("channel-cap", 256)?;
     let dispatcher_shards: usize = args.get("dispatcher-shards", 1)?;
     if dispatcher_shards == 0 {
-        return Err("--dispatcher-shards must be ≥ 1 (1 = unsharded)".to_string());
+        return Err(
+            "--dispatcher-shards must be ≥ 1 (each shard is one routing thread)".to_string()
+        );
     }
     if batch_size < 2 {
         return Err(format!(
@@ -814,7 +816,9 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let channel_cap: usize = args.get("channel-cap", 256)?;
     let dispatcher_shards: usize = args.get("dispatcher-shards", 1)?;
     if dispatcher_shards == 0 {
-        return Err("--dispatcher-shards must be ≥ 1 (1 = unsharded)".to_string());
+        return Err(
+            "--dispatcher-shards must be ≥ 1 (each shard is one routing thread)".to_string()
+        );
     }
     if batch_size < 1 {
         return Err(format!("--batch-size must be ≥ 1 (1 = unbatched), got {batch_size}"));
@@ -857,10 +861,9 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         }),
         ("stalled-round", |s| FaultPlan { seed: s, drop_migrate_cmds: 2, ..FaultPlan::default() }),
         // Control-plane fault classes: kill the supervised control
-        // executors themselves. Sequencer and shard kills only fire with
-        // `--dispatcher-shards >= 2` (the unsharded dispatcher has neither
-        // executor, so the switches are inert and the runs are plain
-        // oracle checks).
+        // executors themselves, at any `--dispatcher-shards` (one shard
+        // runs the same shard + sequencer pair). A class whose kills never
+        // fire over all its seeds fails the matrix: it checked nothing.
         ("kill-sequencer", |s| FaultPlan {
             seed: s,
             crashes: vec![CrashFault {
@@ -873,7 +876,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         ("kill-shard", |s| FaultPlan {
             seed: s,
             // One kill per possible shard; entries for shards the run
-            // doesn't have are inert.
+            // doesn't have never fire.
             crashes: (0..4)
                 .map(|k| CrashFault {
                     group: 0,
@@ -936,6 +939,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             }
         }
         let mut class_bad = 0u64;
+        let mut control_restarts = 0u64;
         for seed in 0..seeds {
             runs += 1;
             let tuples = workload(seed);
@@ -968,6 +972,7 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             let verdict: Result<(), String> = match try_run_topology(&cfg, tuples) {
                 Err(e) => Err(format!("run failed: {e}")),
                 Ok(report) => {
+                    control_restarts += report.registry.counter_sum("supervisor.control_restarts");
                     let mut problems = Vec::new();
                     if report.results_total != expected {
                         problems
@@ -1012,6 +1017,13 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
                 ]));
             }
         }
+        if name.starts_with("kill-") && seeds > 0 && control_restarts == 0 {
+            class_bad += 1;
+            failures.push(Json::obj(vec![
+                ("class", Json::str(*name)),
+                ("error", Json::str(format!("no control-plane kill fired in {seeds} seeds"))),
+            ]));
+        }
         println!("{name:<22} {seeds} seeds, {class_bad} failures");
     }
     if runs == 0 {
@@ -1052,7 +1064,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     if failures.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} of {runs} chaos runs violated exactly-once; see {out}", failures.len()))
+        Err(format!(
+            "{} chaos failures in {runs} runs (exactly-once violations or kill classes that \
+             never fired); see {out}",
+            failures.len()
+        ))
     }
 }
 
@@ -1182,22 +1198,27 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             );
         }
         // Causal checks: the §III-D phase order, and monotone committed
-        // route versions across the whole journal for this group.
+        // route versions across the whole journal for this group. Only
+        // causally ordered pairs qualify: the target sends its
+        // RouteRequest while handling MigStart, so the dispatcher may
+        // stage the route before the target logs MigStore. Events of
+        // different executors in the same microsecond are unordered, so
+        // only a strictly later timestamp counts as a violation.
         let mut problems = Vec::new();
-        let first = |k: TraceKind| events.iter().position(|e| e.kind == k);
+        let first = |k: TraceKind| events.iter().find(|e| e.kind == k).map(|e| e.at_us);
         let order = [
             (TraceKind::MigTrigger, TraceKind::MigCmd),
             (TraceKind::MigCmd, TraceKind::MigStart),
             (TraceKind::MigStart, TraceKind::MigStore),
-            (TraceKind::MigStore, TraceKind::RouteStaged),
+            (TraceKind::MigStart, TraceKind::RouteStaged),
             (TraceKind::RouteStaged, TraceKind::MigEnd),
             (TraceKind::MigEnd, TraceKind::MigDone),
             (TraceKind::AbortRequest, TraceKind::AbortOutcome),
             (TraceKind::MigAbort, TraceKind::MigReturn),
         ];
         for (a, b) in order {
-            if let (Some(ia), Some(ib)) = (first(a), first(b)) {
-                if ia > ib {
+            if let (Some(ta), Some(tb)) = (first(a), first(b)) {
+                if ta > tb {
                     problems.push(format!("{} appears after {}", a.name(), b.name()));
                 }
             }
@@ -1431,15 +1452,15 @@ fn usage() -> &'static str {
                        crash-handoff-forward | crash-pre-route-flip |\n\
                        crash-steady-state | channel-chaos | stalled-round |\n\
                        kill-sequencer | kill-shard | kill-monitor\n\
-                       (the kill-* classes crash control-plane executors;\n\
-                       sequencer/shard kills need --dispatcher-shards >= 2)\n\
+                       (the kill-* classes crash control-plane executors\n\
+                       and fail if no kill fires over all seeds)\n\
        --out PATH      failure-report JSON (default CHAOS_report.json)\n\
        --trace-out P   write the first failing run's trace journal to P\n\
        --batch-size N  data-plane batch size for every run (default 1;\n\
                        CI also sweeps the matrix batched)\n\
        --channel-cap N bounded-channel capacity (default 256)\n\
        --dispatcher-shards N  dispatcher shard count for every run\n\
-                       (default 1 = the single-threaded dispatcher;\n\
+                       (default 1 routing shard + the sequencer;\n\
                        CI also sweeps the matrix sharded)\n\
      bench:\n\
        --deadline-secs N   wall-clock deadline per scenario (default 120);\n\

@@ -177,6 +177,47 @@ fn bench_journal_round_trips_through_the_trace_verb() {
 }
 
 #[test]
+fn trace_round_orders_route_staging_after_mig_start_only() {
+    // The target requests the route flip while handling MigStart, so the
+    // dispatcher may stage it before the target logs MigStore: that order
+    // is legal. Staging before MigStart is not.
+    let journal = |staged_at: u64| {
+        let ev = |t: u64, actor: &str, kind: &str| {
+            format!(
+                "{{\"t\":{t},\"actor\":\"{actor}\",\"kind\":\"{kind}\",\"seq\":0,\"epoch\":3,\
+                 \"aux\":0,\"aux2\":0}}\n"
+            )
+        };
+        let mut text =
+            "{\"schema\":\"fastjoin-trace-v1\",\"events\":7,\"dropped\":0}\n".to_string();
+        text += &ev(10, "monitor.r", "MigTrigger");
+        text += &ev(20, "monitor.r", "MigCmd");
+        text += &ev(30, "inst.r1", "MigStart");
+        text += &ev(staged_at, "dispatcher", "RouteStaged");
+        text += &ev(50, "inst.r1", "MigStore");
+        text += &ev(60, "inst.r1", "MigEnd");
+        text += &ev(70, "monitor.r", "MigDone");
+        text
+    };
+    let dir = std::env::temp_dir().join(format!("fjcli-causal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("j.jsonl");
+    let check = |staged_at: u64| {
+        std::fs::write(&path, journal(staged_at)).unwrap();
+        run(&["trace", "--journal", path.to_str().unwrap(), "--round", "3", "--group", "r"])
+    };
+    // MigStart → RouteStaged → MigStore.
+    let (ok, stdout, stderr) = check(40);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("timeline OK"), "{stdout}");
+    // RouteStaged before MigStart.
+    let (ok, _, stderr) = check(25);
+    assert!(!ok, "staging before MigStart must fail the check");
+    assert!(stderr.contains("MigStart appears after RouteStaged"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_verb_rejects_missing_journal_and_unknown_round() {
     let (ok, _, stderr) = run(&["trace"]);
     assert!(!ok);
